@@ -22,7 +22,9 @@ import socket
 import threading
 from dataclasses import dataclass
 
+from . import linejson
 from .errors import BusConnectionError, ValidationError
+from .linejson import parse_addr
 
 log = logging.getLogger("casca.bus")
 
@@ -92,7 +94,7 @@ class Envelope:
 
 
 def encode_envelope(env: Envelope) -> bytes:
-    return (json.dumps({"t": env.topic, "p": env.payload, "ts": env.ts}) + "\n").encode("utf-8")
+    return linejson.encode({"t": env.topic, "p": env.payload, "ts": env.ts})
 
 
 def decode_envelope(line: str) -> Envelope:
@@ -121,13 +123,6 @@ class Subscription:
         except queue.Empty:
             return None
         return item
-
-    def __iter__(self):
-        while True:
-            item = self._queue.get()
-            if item is None:
-                return
-            yield item
 
     def close(self) -> None:
         if not self.closed:
@@ -183,14 +178,7 @@ class Broker:
                 log.exception("subscriber callback failed for topic %s", env.topic)
 
 
-def parse_addr(addr: str) -> tuple[str, int]:
-    host, _, port = addr.rpartition(":")
-    if not host or not port.isdigit():
-        raise ValidationError(f"bad address {addr!r}, expected host:port")
-    return host, int(port)
-
-
-class BusServer:
+class BusServer(linejson.Server):
     """TCP front-end for a Broker.
 
     A connection whose first line is `{"sub": "<pattern>"}` becomes a
@@ -200,50 +188,25 @@ class BusServer:
 
     def __init__(self, broker: Broker | None = None, listen: str = DEFAULT_LISTEN):
         self.broker = broker if broker is not None else Broker()
-        host, port = parse_addr(listen)
-        self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._sock.bind((host, port))
-        self._sock.listen(64)
-        self.address = "%s:%d" % self._sock.getsockname()[:2]
-        self._stopping = False
-        self._threads: list[threading.Thread] = []
-        self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True, name="bus-accept")
-        self._accept_thread.start()
+        super().__init__(listen, self._serve_bus_conn)
 
-    def _accept_loop(self) -> None:
-        while not self._stopping:
-            try:
-                conn, _ = self._sock.accept()
-            except OSError:
-                return
-            t = threading.Thread(target=self._serve_conn, args=(conn,), daemon=True)
-            t.start()
-            self._threads.append(t)
-
-    def _serve_conn(self, conn: socket.socket) -> None:
-        rfile = conn.makefile("r", encoding="utf-8", newline="\n")
+    def _serve_bus_conn(self, conn: socket.socket, rfile) -> None:
+        first = rfile.readline()
+        if not first:
+            return
         try:
-            first = rfile.readline()
-            if not first:
-                return
-            try:
-                obj = json.loads(first)
-            except json.JSONDecodeError:
-                log.warning("dropping malformed line from client")
-                obj = None
-            if isinstance(obj, dict) and set(obj.keys()) == {"sub"}:
-                self._serve_subscriber(conn, rfile, obj["sub"])
-            else:
-                if obj is not None:
-                    self._publish_line(first)
-                self._serve_publisher(rfile)
-        finally:
-            try:
-                rfile.close()
-                conn.close()
-            except OSError:
-                pass
+            obj = json.loads(first)
+        except json.JSONDecodeError:
+            log.warning("dropping malformed line from client")
+            obj = None
+        if isinstance(obj, dict) and set(obj.keys()) == {"sub"}:
+            self._serve_subscriber(conn, rfile, obj["sub"])
+            return
+        if obj is not None:
+            self._publish_line(first)
+        for line in rfile:
+            if line.strip():
+                self._publish_line(line)
 
     def _publish_line(self, line: str) -> None:
         try:
@@ -251,93 +214,47 @@ class BusServer:
         except (ValidationError, json.JSONDecodeError) as exc:
             log.warning("dropping malformed publish: %s", exc)
 
-    def _serve_publisher(self, rfile) -> None:
-        for line in rfile:
-            if self._stopping:
-                return
-            if line.strip():
-                self._publish_line(line)
-
     def _serve_subscriber(self, conn: socket.socket, rfile, pattern: str) -> None:
         try:
             sub = self.broker.subscribe(pattern)
         except ValidationError as exc:
-            try:
-                conn.sendall((json.dumps({"error": str(exc)}) + "\n").encode())
-            except OSError:
-                pass
+            conn.sendall(linejson.encode({"error": str(exc)}))
             return
-        # Closing the socket from the client side ends this loop; poll so a
-        # server stop is also noticed.
-        closer = threading.Thread(target=lambda: (rfile.read(), sub.close()), daemon=True)
-        closer.start()
+        threading.Thread(target=self._unsubscribe_at_eof, args=(rfile, sub), daemon=True).start()
         try:
-            while not self._stopping:
-                env = sub.get(timeout=0.2)
-                if env is None:
-                    if sub.closed:
-                        return
-                    continue
+            while (env := sub.get()) is not None:   # None once sub is closed
                 conn.sendall(encode_envelope(env))
-        except OSError:
-            pass
         finally:
             sub.close()
 
-    def stop(self) -> None:
-        self._stopping = True
-        # shutdown wakes a blocked accept(); close alone leaves it listening
+    @staticmethod
+    def _unsubscribe_at_eof(rfile, sub: Subscription) -> None:
+        """Close `sub` when the connection ends: client close or reset, or server stop."""
         try:
-            self._sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
+            rfile.read()
+        except (OSError, ValueError):
             pass
-        try:
-            self._sock.close()
-        except OSError:
-            pass
-        self._accept_thread.join(timeout=2)
+        sub.close()
 
 
-class BusClient:
+class BusClient(linejson.Client):
     """Publisher handle for a remote broker. One TCP connection, line-per-publish."""
 
-    def __init__(self, address: str = DEFAULT_LISTEN):
-        self.address = address
-        self._lock = threading.Lock()
-        self._sock: socket.socket | None = None
+    peer = "broker"
+    unreachable = BusConnectionError
 
-    def _connect(self) -> socket.socket:
-        host, port = parse_addr(self.address)
-        try:
-            sock = socket.create_connection((host, port), timeout=5)
-        except OSError as exc:
-            raise BusConnectionError(f"cannot reach broker at {self.address}: {exc}") from exc
-        return sock
+    def __init__(self, address: str = DEFAULT_LISTEN):
+        super().__init__(address)
 
     def publish(self, env: Envelope) -> None:
         env.validate()
         data = encode_envelope(env)
         with self._lock:
-            if self._sock is None:
-                self._sock = self._connect()
-            try:
-                self._sock.sendall(data)
-            except OSError as exc:
-                self._sock = None
-                raise BusConnectionError(f"broker connection lost: {exc}") from exc
-
-    def close(self) -> None:
-        with self._lock:
-            if self._sock is not None:
-                try:
-                    self._sock.close()
-                except OSError:
-                    pass
-                self._sock = None
+            self._exchange(data, reply=False)
 
 
 class RemoteSubscription:
-    """Client side of a subscriber connection; iterable like Subscription."""
+    """Client side of a subscriber connection; `get` like Subscription."""
 
     def __init__(self, address: str, pattern: str):
         validate_pattern(pattern)
@@ -347,7 +264,7 @@ class RemoteSubscription:
             self._sock = socket.create_connection((host, port), timeout=5)
         except OSError as exc:
             raise BusConnectionError(f"cannot reach broker at {address}: {exc}") from exc
-        self._sock.sendall((json.dumps({"sub": pattern}) + "\n").encode())
+        self._sock.sendall(linejson.encode({"sub": pattern}))
         self._rfile = self._sock.makefile("r", encoding="utf-8", newline="\n")
         self.closed = False
 
@@ -364,13 +281,6 @@ class RemoteSubscription:
             self.closed = True
             return None
         return decode_envelope(line)
-
-    def __iter__(self):
-        while True:
-            env = self.get()
-            if env is None:
-                return
-            yield env
 
     def close(self) -> None:
         self.closed = True

@@ -44,9 +44,6 @@ class ResponseRecorder:
     def record(self, method: str, path: str, status: int, body: str) -> None:
         self.responses.append(RecordedResponse(method, path, status, body))
 
-    def bodies(self) -> list[str]:
-        return [r.body for r in self.responses]
-
 
 def normalize_base(endpoint: str) -> str:
     if endpoint.startswith("http://") or endpoint.startswith("https://"):

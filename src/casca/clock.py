@@ -44,9 +44,6 @@ class ScaledClock:
         if seconds > 0:
             time.sleep(seconds / self.multiplier)
 
-    def elapsed_s(self) -> float:
-        return (self.now_ms() - self.epoch_ms) / 1000.0
-
 
 class ManualClock:
     """Logical time advanced explicitly by a scheduler.
@@ -58,7 +55,6 @@ class ManualClock:
     """
 
     def __init__(self, epoch_ms: int = 0):
-        self.epoch_ms = int(epoch_ms)
         self._now_ms = int(epoch_ms)
 
     def now_ms(self) -> int:
@@ -72,6 +68,3 @@ class ManualClock:
     def sleep(self, seconds: float) -> None:
         if seconds > 0:
             self._now_ms += int(round(seconds * 1000))
-
-    def elapsed_s(self) -> float:
-        return (self._now_ms - self.epoch_ms) / 1000.0

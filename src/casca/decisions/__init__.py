@@ -5,16 +5,3 @@ carbon API) and one cadence (a step every tau seconds): RDS picks a
 uniformly random parameter value, GDS follows a sign-of-error gradient
 rule, RLDS learns a policy over the MDP formulation.
 """
-
-from .base import ControlLoopConfig, DecisionSystem, StepRecord
-from .gds import GdsConfig, GdsSystem, gds_decide
-from .mdp import MdpState, carbon_footprint, in_fn, reward
-from .rds import RdsSystem
-from .rlds import RldsSystem
-
-__all__ = [
-    "ControlLoopConfig", "DecisionSystem", "StepRecord",
-    "GdsConfig", "GdsSystem", "gds_decide",
-    "MdpState", "carbon_footprint", "in_fn", "reward",
-    "RdsSystem", "RldsSystem",
-]

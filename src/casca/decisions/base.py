@@ -12,9 +12,11 @@ byte.
 
 from __future__ import annotations
 
+import argparse
 import csv
+import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..clock import WallClock
 from ..clients import ControlApiClient, EmmaApiClient, SloApiClient
@@ -145,3 +147,27 @@ class DecisionSystem:
         self.slo_api.close()
         self.control_api.close()
         self.emma_api.close()
+
+
+def main(builder, prog: str, description: str, argv: list[str] | None = None) -> int:
+    """Command-line loop shared by rds, gds and rlds: config in, step log out."""
+    parser = argparse.ArgumentParser(prog=prog, description=description)
+    parser.add_argument("--config", required=True, help="loop config JSON file")
+    parser.add_argument("--out", default=f"{prog}_steps.csv", help="step log CSV path")
+    args = parser.parse_args(argv)
+    logging.basicConfig(level=logging.INFO, format="%(asctime)s %(name)s %(levelname)s %(message)s")
+    try:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ValidationError("config must be a JSON object")
+        system = builder(raw)
+    except (OSError, ValueError, KeyError, TypeError, CascaError) as exc:
+        parser.error(f"bad config {args.config!r}: {exc}")
+    try:
+        system.run()
+        system.write_csv(args.out)
+    finally:
+        system.close()
+    log.info("wrote %d rows to %s", len(system.records), args.out)
+    return 0

@@ -200,12 +200,6 @@ class CategoricalPolicy:
         self.scale = scale if scale.size else None
 
 
-def policy_act(policy: CategoricalPolicy, state_vec, explore: bool):
-    """Action value for a state; sampling when explore, mode otherwise."""
-    _, value, _, _ = policy.act(state_vec, explore=explore)
-    return value
-
-
 @dataclass
 class _Buffer:
     states: list = field(default_factory=list)

@@ -2,16 +2,12 @@
 
 from __future__ import annotations
 
-import argparse
-import json
-import logging
 import random
 import sys
 
 from ..errors import ValidationError
+from . import base
 from .base import ControlLoopConfig, DecisionSystem, StepRecord, loop_config_from_dict
-
-log = logging.getLogger("casca.rds")
 
 
 class RdsSystem(DecisionSystem):
@@ -48,21 +44,7 @@ def build_rds(raw: dict, clock=None, recorder=None) -> RdsSystem:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(prog="rds", description="Random decision system.")
-    parser.add_argument("--config", required=True, help="loop config JSON file")
-    parser.add_argument("--out", default="rds_steps.csv", help="step log CSV path")
-    args = parser.parse_args(argv)
-    logging.basicConfig(level=logging.INFO, format="%(asctime)s %(name)s %(levelname)s %(message)s")
-    with open(args.config, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    try:
-        system = build_rds(raw)
-    except ValidationError as exc:
-        parser.error(str(exc))
-    system.run()
-    system.write_csv(args.out)
-    log.info("wrote %d steps to %s", len(system.records), args.out)
-    return 0
+    return base.main(build_rds, "rds", "Random decision system.", argv)
 
 
 if __name__ == "__main__":

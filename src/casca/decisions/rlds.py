@@ -12,8 +12,6 @@ simply continues with the next observable state.
 
 from __future__ import annotations
 
-import argparse
-import json
 import logging
 import sys
 from dataclasses import dataclass
@@ -21,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import CascaError, StateUnavailableError, ValidationError
+from . import base
 from .base import ControlLoopConfig, DecisionSystem, StepRecord, loop_config_from_dict
 from .mdp import MdpState, StateBuilder, reward
 from .policy import CategoricalPolicy, PolicyConfig, PpoTrainer, action_bins
@@ -168,21 +167,7 @@ def build_rlds(raw: dict, clock=None, recorder=None) -> RldsSystem:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(prog="rlds", description="Learning decision system.")
-    parser.add_argument("--config", required=True, help="loop config JSON file")
-    parser.add_argument("--out", default="rlds_steps.csv", help="step log CSV path")
-    args = parser.parse_args(argv)
-    logging.basicConfig(level=logging.INFO, format="%(asctime)s %(name)s %(levelname)s %(message)s")
-    with open(args.config, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    try:
-        system = build_rlds(raw)
-    except (ValidationError, KeyError) as exc:
-        parser.error(str(exc))
-    system.run()
-    system.write_csv(args.out)
-    log.info("wrote %d rows to %s", len(system.records), args.out)
-    return 0
+    return base.main(build_rlds, "rlds", "Learning decision system.", argv)
 
 
 if __name__ == "__main__":

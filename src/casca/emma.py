@@ -148,10 +148,6 @@ def load_location_dataset(path: str) -> LocationIndex:
     return index
 
 
-def location_intensity(country: str, ts: int, granularity: str, index: LocationIndex) -> float:
-    return index.lookup(country, ts, granularity)
-
-
 class EmmaService:
     """Loaded datasets plus the HTTP front-end."""
 

@@ -19,12 +19,12 @@ import logging
 import os
 import sys
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import bus as busmod
 from .bus import Envelope, validate_pattern
 from .errors import ConfigError, InterpretationError
-from .store import TelemetryPoint, TimeSeriesStore
+from .store import RemoteStore, TelemetryPoint, TimeSeriesStore
 
 log = logging.getLogger("casca.hook")
 
@@ -310,7 +310,6 @@ def main(argv: list[str] | None = None) -> int:
         config = HookConfig(**{**config.__dict__, "bus_address": env_bus})
 
     if args.store:
-        from .store import RemoteStore
         store = RemoteStore(args.store)
     elif args.journal:
         store = TimeSeriesStore(journal_path=args.journal)

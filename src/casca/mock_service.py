@@ -15,12 +15,12 @@ import json
 import logging
 import math
 import random
-import socket
 import sys
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .bus import BusClient, Envelope, parse_addr
+from . import linejson
+from .bus import BusClient, Envelope
 from .clock import ScaledClock, WallClock
 from .errors import BusConnectionError, UnknownEntityError, ValidationError
 
@@ -178,52 +178,14 @@ class MockService:
             } for s in self._settings.values()]
 
 
-class ControlServer:
+class ControlServer(linejson.Server):
     """Line-delimited JSON control endpoint for one MockService."""
 
     def __init__(self, service: MockService, listen: str = "127.0.0.1:0"):
         self.service = service
-        host, port = parse_addr(listen)
-        self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._sock.bind((host, port))
-        self._sock.listen(16)
-        self.address = "%s:%d" % self._sock.getsockname()[:2]
-        self._stopping = False
-        self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True,
-                                               name="mock-control")
-        self._accept_thread.start()
+        super().__init__(listen, linejson.answering(self._handle))
 
-    def _accept_loop(self) -> None:
-        while not self._stopping:
-            try:
-                conn, _ = self._sock.accept()
-            except OSError:
-                return
-            threading.Thread(target=self._serve_conn, args=(conn,), daemon=True).start()
-
-    def _serve_conn(self, conn: socket.socket) -> None:
-        rfile = conn.makefile("r", encoding="utf-8", newline="\n")
-        try:
-            for line in rfile:
-                if not line.strip():
-                    continue
-                resp = self._handle(line)
-                conn.sendall((json.dumps(resp) + "\n").encode("utf-8"))
-        except OSError:
-            pass
-        finally:
-            try:
-                rfile.close()
-                conn.close()
-            except OSError:
-                pass
-
-    def _handle(self, line: str) -> dict:
-        try:
-            req = json.loads(line)
-        except json.JSONDecodeError as exc:
-            return {"ok": False, "error": f"bad json: {exc}"}
+    def _handle(self, req) -> dict:
         if not isinstance(req, dict):
             return {"ok": False, "error": "request must be a JSON object"}
         op = req.get("op")
@@ -238,19 +200,6 @@ class ControlServer:
             return {"ok": False, "error": f"unknown op {op!r}"}
         except (ValidationError, UnknownEntityError) as exc:
             return {"ok": False, "error": str(exc)}
-
-    def stop(self) -> None:
-        self._stopping = True
-        # shutdown wakes a blocked accept(); close alone leaves it listening
-        try:
-            self._sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self._sock.close()
-        except OSError:
-            pass
-        self._accept_thread.join(timeout=2)
 
 
 class Reporter:

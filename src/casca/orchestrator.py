@@ -153,6 +153,7 @@ class Stack:
         self.hooks: list[TelemetryHook] = []
         self.mock: MockService | None = None
         self.control: ControlServer | None = None
+        self.controller: MockServiceControllerClient | None = None
         self.emma: EmmaService | None = None
         self.api: ServiceApi | None = None
         self.system: DecisionSystem | None = None
@@ -214,8 +215,8 @@ class Stack:
             self.emma.start()
 
             stage = "service-api"
-            controller = MockServiceControllerClient(self.control.address)
-            self.api = ServiceApi(sc.slos_path, controller, self.store,
+            self.controller = MockServiceControllerClient(self.control.address)
+            self.api = ServiceApi(sc.slos_path, self.controller, self.store,
                                   clock=self.clock,
                                   listen=sc.endpoints.get("service_api", "127.0.0.1:0"),
                                   aliases_path=sc.aliases_path)
@@ -260,6 +261,8 @@ class Stack:
             self.api.stop()
         if self.emma is not None:
             self.emma.stop()
+        if self.controller is not None:
+            self.controller.close()
         if self._live_threads_started:
             for rep in self.reporters:
                 rep.stop()

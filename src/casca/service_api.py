@@ -16,16 +16,15 @@ import argparse
 import json
 import logging
 import signal
-import socket
 import sys
 import threading
 from dataclasses import dataclass, replace
 
-from .bus import parse_addr
+from . import linejson
 from .clock import WallClock
 from .errors import (ControllerUnreachableError, UnknownEntityError,
                      ValidationError)
-from .store import parse_query
+from .store import RemoteStore, parse_query
 from .webutil import JsonHttpServer
 
 log = logging.getLogger("casca.serviceapi")
@@ -171,59 +170,28 @@ def parse_slos(path: str) -> list[SloSpec]:
     return parse_slo_entries(raw["slos"])
 
 
-class MockServiceControllerClient:
+class MockServiceControllerClient(linejson.Client):
     """Service-controller contract over the mock's line-JSON protocol."""
 
-    def __init__(self, address: str):
-        self.address = address
-        self._lock = threading.Lock()
-        self._sock: socket.socket | None = None
-        self._rfile = None
+    peer = "controller"
+    unreachable = ControllerUnreachableError
 
-    def _request(self, req: dict) -> dict:
-        with self._lock:
-            try:
-                if self._sock is None:
-                    host, port = parse_addr(self.address)
-                    self._sock = socket.create_connection((host, port), timeout=10)
-                    self._rfile = self._sock.makefile("r", encoding="utf-8", newline="\n")
-                self._sock.sendall((json.dumps(req) + "\n").encode("utf-8"))
-                line = self._rfile.readline()
-            except OSError as exc:
-                self._sock = None
-                raise ControllerUnreachableError(
-                    f"controller at {self.address} unreachable: {exc}") from exc
-        if not line:
-            self._sock = None
-            raise ControllerUnreachableError(f"controller at {self.address} closed the connection")
-        resp = json.loads(line)
-        if not resp.get("ok"):
-            message = resp.get("error", "controller rejected the request")
-            if message.startswith("no setting"):
-                raise UnknownEntityError(message)
-            raise ValidationError(message)
-        return resp
+    def rejected(self, message: str) -> Exception:
+        if message.startswith("no setting"):
+            return UnknownEntityError(message)
+        return ValidationError(message)
 
     def get(self, setting: str):
-        return self._request({"op": "get", "setting": setting})["value"]
+        return self.request({"op": "get", "setting": setting})["value"]
 
     def set(self, setting: str, value):
-        return self._request({"op": "set", "setting": setting, "value": value})["value"]
+        return self.request({"op": "set", "setting": setting, "value": value})["value"]
 
     def list(self) -> list[SettingSpec]:
-        rows = self._request({"op": "list"})["settings"]
+        rows = self.request({"op": "list"})["settings"]
         return [SettingSpec(id=r["setting"], description=r.get("description", ""),
                             value_type=r.get("type", "float"),
                             p_min=float(r["min"]), p_max=float(r["max"])) for r in rows]
-
-    def close(self) -> None:
-        with self._lock:
-            if self._sock is not None:
-                try:
-                    self._sock.close()
-                except OSError:
-                    pass
-                self._sock = None
 
 
 def make_controller(spec: str):
@@ -405,7 +373,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     logging.basicConfig(level=logging.INFO, format="%(asctime)s %(name)s %(levelname)s %(message)s")
 
-    from .store import RemoteStore
     try:
         api = ServiceApi(args.slos, make_controller(args.controller),
                          RemoteStore(args.store), listen=args.listen,

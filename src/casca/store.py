@@ -16,15 +16,11 @@ from __future__ import annotations
 
 import bisect
 import json
-import logging
-import socket
 import threading
 from dataclasses import dataclass, field
 
-from .bus import parse_addr
+from . import linejson
 from .errors import QueryParseError, ValidationError
-
-log = logging.getLogger("casca.store")
 
 AGGREGATIONS = ("last", "mean", "min", "max", "count")
 
@@ -295,7 +291,7 @@ class TimeSeriesStore:
             self._journal = None
 
 
-class StoreServer:
+class StoreServer(linejson.Server):
     """Line-JSON TCP access to a store, for processes without the object.
 
     Requests: {"op":"write","m","tg","f","ts"}, {"op":"query","q","now"},
@@ -304,46 +300,9 @@ class StoreServer:
 
     def __init__(self, store: TimeSeriesStore, listen: str = "127.0.0.1:0"):
         self.store = store
-        host, port = parse_addr(listen)
-        self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._sock.bind((host, port))
-        self._sock.listen(16)
-        self.address = "%s:%d" % self._sock.getsockname()[:2]
-        self._stopping = False
-        self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True, name="store-accept")
-        self._accept_thread.start()
+        super().__init__(listen, linejson.answering(self._handle))
 
-    def _accept_loop(self) -> None:
-        while not self._stopping:
-            try:
-                conn, _ = self._sock.accept()
-            except OSError:
-                return
-            threading.Thread(target=self._serve_conn, args=(conn,), daemon=True).start()
-
-    def _serve_conn(self, conn: socket.socket) -> None:
-        rfile = conn.makefile("r", encoding="utf-8", newline="\n")
-        try:
-            for line in rfile:
-                if not line.strip():
-                    continue
-                resp = self._handle(line)
-                conn.sendall((json.dumps(resp) + "\n").encode("utf-8"))
-        except OSError:
-            pass
-        finally:
-            try:
-                rfile.close()
-                conn.close()
-            except OSError:
-                pass
-
-    def _handle(self, line: str) -> dict:
-        try:
-            req = json.loads(line)
-        except json.JSONDecodeError as exc:
-            return {"ok": False, "error": f"bad json: {exc}"}
+    def _handle(self, req) -> dict:
         op = req.get("op") if isinstance(req, dict) else None
         try:
             if op == "write":
@@ -359,62 +318,21 @@ class StoreServer:
         except (ValidationError, TypeError, ValueError) as exc:
             return {"ok": False, "error": str(exc)}
 
-    def stop(self) -> None:
-        self._stopping = True
-        # shutdown wakes a blocked accept(); close alone leaves it listening
-        try:
-            self._sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self._sock.close()
-        except OSError:
-            pass
-        self._accept_thread.join(timeout=2)
 
-
-class RemoteStore:
+class RemoteStore(linejson.Client):
     """Client for StoreServer with the TimeSeriesStore read/write surface."""
 
-    def __init__(self, address: str):
-        self.address = address
-        self._lock = threading.Lock()
-        self._sock: socket.socket | None = None
-        self._rfile = None
-
-    def _request(self, req: dict) -> dict:
-        with self._lock:
-            if self._sock is None:
-                host, port = parse_addr(self.address)
-                self._sock = socket.create_connection((host, port), timeout=10)
-                self._rfile = self._sock.makefile("r", encoding="utf-8", newline="\n")
-            self._sock.sendall((json.dumps(req) + "\n").encode("utf-8"))
-            line = self._rfile.readline()
-        if not line:
-            raise ValidationError(f"store at {self.address} closed the connection")
-        resp = json.loads(line)
-        if not resp.get("ok"):
-            raise ValidationError(resp.get("error", "store request failed"))
-        return resp
+    peer = "store"
+    unreachable = ValidationError
 
     def write(self, point: TelemetryPoint) -> None:
-        self._request({"op": "write", "m": point.measurement, "tg": point.tags,
-                       "f": point.fields, "ts": point.ts})
+        self.request({"op": "write", "m": point.measurement, "tg": point.tags,
+                      "f": point.fields, "ts": point.ts})
 
     def query(self, query: str | QuerySpec, now_ms: int) -> float | None:
         if isinstance(query, QuerySpec):
             query = format_query(query)
-        return self._request({"op": "query", "q": query, "now": now_ms}).get("value")
+        return self.request({"op": "query", "q": query, "now": now_ms}).get("value")
 
     def count(self) -> int:
-        return int(self._request({"op": "count"})["count"])
-
-    def close(self) -> None:
-        with self._lock:
-            if self._sock is not None:
-                try:
-                    self._sock.close()
-                except OSError:
-                    pass
-                self._sock = None
-                self._rfile = None
+        return int(self.request({"op": "count"})["count"])

@@ -13,13 +13,13 @@ import json
 import logging
 import re
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qsl, urlsplit
 
-from .bus import parse_addr
 from .errors import (ControllerUnreachableError, OutOfRangeError,
                      UnknownEntityError, ValidationError)
+from .linejson import parse_addr
 
 log = logging.getLogger("casca.web")
 
@@ -37,7 +37,6 @@ class Request:
     path: str
     query: dict
     body: object = None
-    headers: dict = field(default_factory=dict)
 
 
 class JsonHttpServer:
@@ -84,7 +83,7 @@ class JsonHttpServer:
                         return
                 req = Request(method=method, path=parts.path,
                               query=dict(parse_qsl(parts.query)),
-                              body=body, headers=dict(self.headers.items()))
+                              body=body)
                 for m, pattern, fn in outer._routes:
                     if m != method:
                         continue
@@ -138,15 +137,6 @@ class JsonHttpServer:
         if self._thread is not None:
             self._thread.join(timeout=5)
             self._thread = None
-
-
-def require_number(query: dict, key: str) -> float:
-    if key not in query:
-        raise ValidationError(f"missing query parameter {key!r}")
-    try:
-        return float(query[key])
-    except ValueError:
-        raise ValidationError(f"query parameter {key!r} must be numeric, got {query[key]!r}")
 
 
 def require_int(query: dict, key: str) -> int:

@@ -3,6 +3,8 @@
 import json
 import random
 import socket
+import struct
+import threading
 import time
 
 import pytest
@@ -248,6 +250,28 @@ class TestBusOverTcp:
             pub.close()
         finally:
             server.stop()
+
+    def test_stop_ends_subscriber_threads_after_a_reset(self):
+        before = threading.active_count()
+        server = BusServer(listen="127.0.0.1:0")
+        subscribers = [socket.create_connection(parse_addr(server.address)) for _ in range(2)]
+        for s in subscribers:
+            s.sendall(b'{"sub": "#"}\n')
+        time.sleep(0.05)
+        pub = BusClient(server.address)
+        pub.publish(Envelope("a", 1, 1))
+        time.sleep(0.05)
+        # closing with the envelope unread and linger 0 resets the connection
+        subscribers[0].setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        subscribers[0].close()
+        time.sleep(0.05)
+        server.stop()
+        deadline = time.monotonic() + 5.0
+        while threading.active_count() > before and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert threading.active_count() <= before
+        pub.close()
+        subscribers[1].close()
 
     def test_client_raises_when_broker_unreachable(self):
         # grab a port and close it again so nothing is listening there

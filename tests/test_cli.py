@@ -7,6 +7,7 @@ A separate check keeps the `[project.scripts]` table in pyproject.toml equal
 to the module map they use.
 """
 
+import csv
 import importlib
 import json
 import os
@@ -22,6 +23,8 @@ import requests
 
 import casca
 from casca.cli import main as casca_main
+from casca.decisions import gds, rds, rlds
+from casca.orchestrator import Stack, load_scenario
 from casca.service_api import MockServiceControllerClient
 from casca.store import StoreServer, TimeSeriesStore
 
@@ -139,6 +142,41 @@ class TestCascaCommand:
         assert result["total_samples"] == 12
 
 
+class TestDecisionCommands:
+    """The shared rds/gds/rlds entry point, called in-process."""
+
+    def test_rds_runs_the_standalone_loop(self, platform, tmp_path):
+        stack = Stack(load_scenario(platform.write_scenario("standalone.json")))
+        stack.boot()
+        try:
+            config = tmp_path / "rds.json"
+            config.write_text(json.dumps({
+                "slo_api": stack.api.address, "control_api": stack.api.address,
+                "emma_api": stack.emma.address, "param_id": "EncodingThreadCount",
+                "tau_s": 0.01, "max_steps": 3}))
+            out = tmp_path / "steps.csv"
+            assert rds.main(["--config", str(config), "--out", str(out)]) == 0
+        finally:
+            stack.stop()
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["step", "ts", "action0", "reward"]
+        assert [row[0] for row in rows[1:]] == ["0", "1", "2"]
+        assert all(0 <= int(row[2]) <= 16 for row in rows[1:])
+
+    @pytest.mark.parametrize("content", [None, "{not json", "[1, 2]", '{"slo_api": "x"}'],
+                             ids=["missing", "malformed", "not-object", "incomplete"])
+    @pytest.mark.parametrize("module", [rds, gds, rlds], ids=["rds", "gds", "rlds"])
+    def test_bad_config_is_a_usage_error(self, module, content, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        if content is not None:
+            path.write_text(content)
+        with pytest.raises(SystemExit) as err:
+            module.main(["--config", str(path), "--out", str(tmp_path / "steps.csv")])
+        assert err.value.code == 2
+        assert str(path) in capsys.readouterr().err
+
+
 class TestInstalledScripts:
     """The shipped commands, each started as `python -m casca.<module>`."""
 
@@ -157,6 +195,7 @@ class TestInstalledScripts:
                               capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
         assert done.stdout.startswith(f"usage: {script} ")
+        assert "RuntimeWarning" not in done.stderr
 
     def test_emma_server_process(self, platform, tmp_path):
         listen = f"127.0.0.1:{free_port()}"

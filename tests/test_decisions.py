@@ -15,7 +15,7 @@ from casca.decisions.gds import GdsConfig, build_gds, gds_decide
 from casca.decisions.mdp import (MdpState, StateBuilder, carbon_footprint,
                                  in_fn, reward)
 from casca.decisions.policy import (Adam, CategoricalPolicy, Mlp, PolicyConfig,
-                                    PpoTrainer, action_bins, policy_act, softmax)
+                                    PpoTrainer, action_bins, softmax)
 from casca.decisions.rds import build_rds
 from casca.decisions.rlds import build_rlds
 from casca.errors import StateUnavailableError, ValidationError
@@ -415,11 +415,6 @@ class TestCategoricalPolicy:
         vec = [2.0, 2.0, 2.0]
         assert fresh.probs(fresh.normalize(vec)).tolist() == \
             pol.probs(pol.normalize(vec)).tolist()
-
-    def test_policy_act_helper(self):
-        pol = self.make()
-        value = policy_act(pol, [1.0, 1.0, 1.0], explore=False)
-        assert value in pol.action_values
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):

@@ -1,12 +1,17 @@
 """End-to-end scenario runs in logical and live time."""
 
+import gc
 import json
 import math
 import os
 import socket
+import threading
+import time
+import warnings
 
 import pytest
 
+from casca.clients import ServiceApiClient
 from casca.errors import ConfigError, ValidationError
 from casca.decisions.mdp import carbon_footprint
 from casca.mock_service import WorkloadModel, fps_model, power_model
@@ -289,6 +294,27 @@ class TestPortsAndLifecycle:
                             decision={"system": "rds",
                                       "param_id": "EncodingThreadCount", "max_steps": 2})
             assert report["status"] == "ok"
+
+    def test_stop_releases_threads_and_sockets(self, platform):
+        cfg = load_scenario(platform.write_scenario("cycle.json"))
+        before = threading.active_count()
+        stacks = [Stack(cfg) for _ in range(3)]   # kept alive: no cleanup by the collector
+        for stack in stacks:
+            stack.boot()
+            # a setting read makes the gateway open its controller connection
+            client = ServiceApiClient(stack.api.address)
+            assert client.get_value("EncodingThreadCount") == 16
+            client.close()
+            stack.stop()
+        deadline = time.monotonic() + 5.0
+        while threading.active_count() > before and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert threading.active_count() <= before
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            del stacks, stack
+            gc.collect()
+        assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
 
     def test_boot_failure_tears_down_earlier_stages(self, platform, tmp_path):
         port = free_port()

@@ -264,7 +264,7 @@ class TestAliasedGateway:
         client.get_setting("ServiceParam")
         client.set_value("ServiceParam", 5)
         client.get_value("ServiceParam")
-        blob = "\n".join(recorder.bodies())
+        blob = "\n".join(r.body for r in recorder.responses)
         for secret in ("FPS", "EncodingThreadCount", "fps.value", "mean("):
             assert secret not in blob
 
