@@ -15,6 +15,7 @@ matches any (possibly empty) suffix. No QoS, retained messages, or auth.
 
 from __future__ import annotations
 
+import collections
 import json
 import logging
 import queue
@@ -190,23 +191,24 @@ class BusServer(linejson.Server):
         self.broker = broker if broker is not None else Broker()
         super().__init__(listen, self._serve_bus_conn)
 
-    def _serve_bus_conn(self, conn: socket.socket, rfile) -> None:
-        first = rfile.readline()
-        if not first:
-            return
-        try:
-            obj = json.loads(first)
-        except json.JSONDecodeError:
-            log.warning("dropping malformed line from client")
-            obj = None
-        if isinstance(obj, dict) and set(obj.keys()) == {"sub"}:
-            self._serve_subscriber(conn, rfile, obj["sub"])
-            return
-        if obj is not None:
-            self._publish_line(first)
-        for line in rfile:
-            if line.strip():
-                self._publish_line(line)
+    def _serve_bus_conn(self, conn: socket.socket) -> None:
+        with conn.makefile("r", encoding="utf-8", newline="\n") as rfile:
+            first = rfile.readline()
+            if not first:
+                return
+            try:
+                obj = json.loads(first)
+            except json.JSONDecodeError:
+                log.warning("dropping malformed line from client")
+                obj = None
+            if isinstance(obj, dict) and set(obj.keys()) == {"sub"}:
+                self._serve_subscriber(conn, rfile, obj["sub"])
+                return
+            if obj is not None:
+                self._publish_line(first)
+            for line in rfile:
+                if line.strip():
+                    self._publish_line(line)
 
     def _publish_line(self, line: str) -> None:
         try:
@@ -265,29 +267,37 @@ class RemoteSubscription:
         except OSError as exc:
             raise BusConnectionError(f"cannot reach broker at {address}: {exc}") from exc
         self._sock.sendall(linejson.encode({"sub": pattern}))
-        self._rfile = self._sock.makefile("r", encoding="utf-8", newline="\n")
+        # Lines are split here, not by a socket file: after one read
+        # timeout a socket file refuses every later read.
+        self._lines: collections.deque[bytes] = collections.deque()
+        self._partial = b""
         self.closed = False
 
     def get(self, timeout: float | None = None) -> Envelope | None:
+        """Next envelope; None on timeout, or with `closed` set at end of stream."""
         self._sock.settimeout(timeout)
-        try:
-            line = self._rfile.readline()
-        except (TimeoutError, socket.timeout):
-            return None
-        except OSError:
-            self.closed = True
-            return None
-        if not line:
-            self.closed = True
-            return None
-        return decode_envelope(line)
+        while not self._lines:
+            try:
+                chunk = self._sock.recv(65536)
+            except TimeoutError:
+                return None
+            except OSError:
+                chunk = b""
+            if not chunk:
+                self.closed = True
+                return None
+            *lines, self._partial = (self._partial + chunk).split(b"\n")
+            self._lines.extend(lines)
+        return decode_envelope(self._lines.popleft().decode("utf-8"))
 
     def close(self) -> None:
+        """End the subscription: the broker sees end-of-file and drops it."""
         self.closed = True
         try:
-            self._sock.close()
+            self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
+        self._sock.close()
 
 
 def subscribe_remote(address: str, pattern: str) -> RemoteSubscription:

@@ -2,6 +2,7 @@
 
 Decision systems observe and act exclusively through these: the SLO API,
 the setting-control API (both served by the gateway) and the carbon API.
+Each client keeps one HTTP/1.1 connection alive (stdlib `http.client`).
 Server-side error statuses are raised as the matching domain exceptions.
 An optional ResponseRecorder captures every response body, which lets
 tests scan whole conversations for content that must never appear.
@@ -9,17 +10,15 @@ tests scan whole conversations for content that must never appear.
 
 from __future__ import annotations
 
-import logging
+import http.client
+import json
 from dataclasses import dataclass, field
-
-import requests
+from urllib.parse import urlencode, urlsplit
 
 from .errors import (CascaError, ControllerUnreachableError, OutOfRangeError,
                      UnknownEntityError, ValidationError)
 
-log = logging.getLogger("casca.clients")
-
-DEFAULT_TIMEOUT = 10.0
+TIMEOUT_S = 10.0
 
 _ERROR_BY_STATUS = {
     400: ValidationError,
@@ -46,41 +45,55 @@ class ResponseRecorder:
 
 
 def normalize_base(endpoint: str) -> str:
-    if endpoint.startswith("http://") or endpoint.startswith("https://"):
+    if endpoint.startswith("https://"):
+        raise ValidationError(f"https endpoints are not supported: {endpoint!r}")
+    if endpoint.startswith("http://"):
         return endpoint.rstrip("/")
     return "http://" + endpoint.rstrip("/")
 
 
 class _HttpClient:
-    def __init__(self, endpoint: str, recorder: ResponseRecorder | None = None,
-                 timeout: float = DEFAULT_TIMEOUT):
+    def __init__(self, endpoint: str, recorder: ResponseRecorder | None = None):
         self.base = normalize_base(endpoint)
         self.recorder = recorder
-        self.timeout = timeout
-        self._session = requests.Session()
+        base = urlsplit(self.base)
+        self._prefix = base.path
+        self._conn = http.client.HTTPConnection(base.netloc, timeout=TIMEOUT_S)
 
     def _call(self, method: str, path: str, params=None, body=None):
         url = self.base + path
-        try:
-            resp = self._session.request(method, url, params=params, json=body,
-                                         timeout=self.timeout)
-        except requests.RequestException as exc:
-            raise CascaError(f"request to {url} failed: {exc}") from exc
+        target = self._prefix + path + ("?" + urlencode(params) if params else "")
+        headers, payload = {}, None
+        if body is not None:
+            headers["Content-Type"] = "application/json"
+            payload = json.dumps(body, allow_nan=False).encode("utf-8")
+        while True:
+            reused = self._conn.sock is not None
+            try:
+                self._conn.request(method, target, body=payload, headers=headers)
+                resp = self._conn.getresponse()
+                text = resp.read().decode("utf-8")
+                break
+            except (OSError, http.client.HTTPException) as exc:
+                self._conn.close()
+                # A kept-alive connection the server has closed is reopened once.
+                if not (reused and isinstance(exc, ConnectionError)):
+                    raise CascaError(f"request to {url} failed: {exc}") from exc
         if self.recorder is not None:
-            self.recorder.record(method, path, resp.status_code, resp.text)
-        if resp.status_code == 204:
+            self.recorder.record(method, path, resp.status, text)
+        if resp.status == 204:
             return None
-        if 200 <= resp.status_code < 300:
-            return resp.json()
-        error_cls = _ERROR_BY_STATUS.get(resp.status_code, CascaError)
+        if 200 <= resp.status < 300:
+            return json.loads(text)
+        error_cls = _ERROR_BY_STATUS.get(resp.status, CascaError)
         try:
-            message = resp.json().get("error", resp.text)
+            message = json.loads(text).get("error", text)
         except ValueError:
-            message = resp.text
-        raise error_cls(f"{method} {path} -> {resp.status_code}: {message}")
+            message = text
+        raise error_cls(f"{method} {path} -> {resp.status}: {message}")
 
     def close(self) -> None:
-        self._session.close()
+        self._conn.close()
 
 
 class SloApiClient(_HttpClient):
@@ -114,7 +127,7 @@ class ControlApiClient(_HttpClient):
 
 
 class ServiceApiClient(SloApiClient, ControlApiClient):
-    """Both halves of the gateway on one session."""
+    """Both halves of the gateway on one connection."""
 
 
 class EmmaApiClient(_HttpClient):

@@ -149,28 +149,20 @@ def load_location_dataset(path: str) -> LocationIndex:
 
 
 class EmmaService:
-    """Loaded datasets plus the HTTP front-end."""
+    """Loaded datasets plus the HTTP front-end, serving once constructed."""
 
     def __init__(self, sources_path: str, locations_path: str, listen: str = DEFAULT_LISTEN):
-        self._lock = threading.Lock()
-        self._paths = (sources_path, locations_path)
         self.sources = load_source_table(sources_path)
         self.locations = load_location_dataset(locations_path)
-        self._http = JsonHttpServer(listen, name="emma")
-        self._http.route("GET", r"/intensity", self._get_intensity)
-        self._http.route("POST", r"/intensity/mix", self._post_mix)
-        self._http.route("GET", r"/sources", self._get_sources)
+        self._http = JsonHttpServer(listen, "emma", [
+            ("GET", r"/intensity", self._get_intensity),
+            ("POST", r"/intensity/mix", self._post_mix),
+            ("GET", r"/sources", self._get_sources),
+        ])
 
     @property
     def address(self) -> str:
         return self._http.address
-
-    def reload(self) -> None:
-        sources = load_source_table(self._paths[0])
-        locations = load_location_dataset(self._paths[1])
-        with self._lock:
-            self.sources = sources
-            self.locations = locations
 
     def _get_intensity(self, req):
         country = req.query.get("country")
@@ -180,24 +172,17 @@ class EmmaService:
         granularity = req.query.get("granularity")
         if not granularity:
             raise ValidationError("missing query parameter 'granularity'")
-        with self._lock:
-            value = self.locations.lookup(country, ts, granularity)
+        value = self.locations.lookup(country, ts, granularity)
         return {"country": country, "ts": ts, "granularity": granularity,
                 "intensity_gco2eq_kwh": value}
 
     def _post_mix(self, req):
         if not isinstance(req.body, dict) or "shares" not in req.body:
             raise ValidationError("body must be a JSON object with a 'shares' key")
-        with self._lock:
-            value = mix_intensity(req.body["shares"], self.sources)
-        return {"intensity_gco2eq_kwh": value}
+        return {"intensity_gco2eq_kwh": mix_intensity(req.body["shares"], self.sources)}
 
     def _get_sources(self, req):
-        with self._lock:
-            return {"sources": dict(sorted(self.sources.items()))}
-
-    def start(self) -> None:
-        self._http.start()
+        return {"sources": dict(sorted(self.sources.items()))}
 
     def stop(self) -> None:
         self._http.stop()
@@ -214,7 +199,6 @@ def main(argv: list[str] | None = None) -> int:
         service = EmmaService(args.sources, args.locations, listen=args.listen)
     except (ValidationError, OSError) as exc:
         parser.error(str(exc))
-    service.start()
     log.info("emma serving on %s (%d sources, countries: %s)",
              service.address, len(service.sources), ", ".join(service.locations.countries()))
     try:

@@ -2,10 +2,11 @@
 
 Every message is one JSON object on one UTF-8 line. `Server` owns the
 listener, the accept loop and a daemon thread per connection; what a
-connection means is up to its `serve_conn(conn, rfile)`. `answering`
-turns a `handle(request) -> reply` function into such a `serve_conn` for
-request/response protocols, and `Client` is the matching caller: one
-lazily opened connection, one write and one reply line per request.
+connection means is up to its `serve_conn(conn)`, so the HTTP servers
+(`webutil`) run on it too. `answering` turns a `handle(request) -> reply`
+function into such a `serve_conn` for request/response protocols, and
+`Client` is the matching caller: one lazily opened connection, one write
+and one reply line per request.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ def encode(obj) -> bytes:
 
 
 class Server:
-    """Listener plus accept loop; `serve_conn(conn, rfile)` runs per connection.
+    """Listener plus accept loop; `serve_conn(conn)` runs per connection.
 
     `stop()` shuts the listener and every open connection, so a connection
     thread sees end-of-file and exits on its own; it is not joined.
@@ -64,19 +65,14 @@ class Server:
             threading.Thread(target=self._run_conn, args=(conn,), daemon=True).start()
 
     def _run_conn(self, conn: socket.socket) -> None:
-        rfile = conn.makefile("r", encoding="utf-8", newline="\n")
         try:
-            self._serve_conn(conn, rfile)
+            self._serve_conn(conn)
         except OSError:
             pass
         finally:
             with self._lock:
                 self._conns.discard(conn)
-            try:
-                rfile.close()
-                conn.close()
-            except OSError:
-                pass
+            conn.close()
 
     def stop(self) -> None:
         with self._lock:
@@ -95,17 +91,18 @@ class Server:
 def answering(handle):
     """A `serve_conn` that answers every request line with `handle(request)`."""
 
-    def serve_conn(conn: socket.socket, rfile) -> None:
-        for line in rfile:
-            if not line.strip():
-                continue
-            try:
-                req = json.loads(line)
-            except json.JSONDecodeError as exc:
-                resp = {"ok": False, "error": f"bad json: {exc}"}
-            else:
-                resp = handle(req)
-            conn.sendall(encode(resp))
+    def serve_conn(conn: socket.socket) -> None:
+        with conn.makefile("r", encoding="utf-8", newline="\n") as rfile:
+            for line in rfile:
+                if not line.strip():
+                    continue
+                try:
+                    req = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    resp = {"ok": False, "error": f"bad json: {exc}"}
+                else:
+                    resp = handle(req)
+                conn.sendall(encode(resp))
     return serve_conn
 
 

@@ -212,7 +212,6 @@ class Stack:
             stage = "emma"
             self.emma = EmmaService(sc.emma_sources, sc.emma_locations,
                                     listen=sc.endpoints.get("emma", "127.0.0.1:0"))
-            self.emma.start()
 
             stage = "service-api"
             self.controller = MockServiceControllerClient(self.control.address)
@@ -220,7 +219,6 @@ class Stack:
                                   clock=self.clock,
                                   listen=sc.endpoints.get("service_api", "127.0.0.1:0"),
                                   aliases_path=sc.aliases_path)
-            self.api.start()
 
             stage = "decision-system"
             if sc.decision is not None:
@@ -490,8 +488,8 @@ def measure_reconfiguration(scenario: ScenarioConfig, edits: int,
     stack.boot()
     samples: list[dict] = []
     rollback_ok = False
+    client = ServiceApiClient(stack.api.address)
     try:
-        client = ServiceApiClient(stack.api.address)
         scratch = os.path.join(os.path.dirname(scenario.slos_path), "_reconfig_scratch.json")
         shutil.copyfile(scenario.slos_path, scratch)
         with open(scratch, "r", encoding="utf-8") as fh:
@@ -553,6 +551,7 @@ def measure_reconfiguration(scenario: ScenarioConfig, edits: int,
             rollback_ok = {s["id"] for s in client.list_slos()} == before
         os.unlink(scratch)
     finally:
+        client.close()
         stack.stop()
     stats = _series_stats([s["ms"] for s in samples])
     # keep the per-edit list; _series_stats has its own "samples" count
@@ -566,11 +565,11 @@ def measure_api_overhead(scenario: ScenarioConfig, n: int,
     controller: 4 categories, values cycling evenly over value_range."""
     stack = Stack(scenario)
     stack.boot()
+    gateway = ServiceApiClient(stack.api.address)
+    direct = MockServiceControllerClient(stack.control.address)
     try:
         setting_id = next(iter(stack.api._config.settings))
         internal = stack.api._config.settings[setting_id][1]
-        gateway = ServiceApiClient(stack.api.address)
-        direct = MockServiceControllerClient(stack.control.address)
         lo, hi = value_range
         span = hi - lo + 1
         out: dict[str, list[float]] = {"casca_set": [], "casca_get": [],
@@ -590,6 +589,8 @@ def measure_api_overhead(scenario: ScenarioConfig, n: int,
             direct.get(internal)
             out["direct_get"].append((time.perf_counter() - t0) * 1000.0)
     finally:
+        gateway.close()
+        direct.close()
         stack.stop()
     return {"n": n, "total_samples": 4 * n,
             "categories": {k: _series_stats(v) for k, v in out.items()}}

@@ -103,6 +103,8 @@ def parse_setting_entries(entries) -> list[SettingSpec]:
     specs: list[SettingSpec] = []
     seen: set[str] = set()
     for entry in entries:
+        if not isinstance(entry, dict):
+            raise ValidationError(f"each setting must be an object, got {entry!r}")
         sid = entry.get("id")
         if not isinstance(sid, str) or not sid:
             raise ValidationError("every setting needs a non-empty string 'id'")
@@ -161,10 +163,19 @@ def apply_alias(specs: list, alias_map: dict[str, tuple[str, str]]) -> list:
     return out
 
 
+def _read_json(path: str, what: str):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ValidationError(f"{what} file {path!r} cannot be read: {exc.strerror}")
+    except ValueError as exc:   # not JSON, or not UTF-8
+        raise ValidationError(f"{what} file {path!r} is not valid JSON: {exc}")
+
+
 def parse_slos(path: str) -> list[SloSpec]:
     """SLO list from a configuration file (ignores other keys)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = _read_json(path, "SLO")
     if not isinstance(raw, dict) or "slos" not in raw:
         raise ValidationError(f"{path!r} must be an object with a 'slos' array")
     return parse_slo_entries(raw["slos"])
@@ -229,29 +240,23 @@ class ServiceApi:
         self._config_lock = threading.Lock()
         self._set_lock = threading.Lock()
         self._config = self._load(config_path)
-        self._http = JsonHttpServer(listen, name="service-api")
-        r = self._http.route
-        r("GET", r"/slos", self._list_slos)
-        r("GET", r"/slos/(?P<slo_id>[^/]+)", self._get_slo)
-        r("GET", r"/slos/(?P<slo_id>[^/]+)/value", self._get_slo_value)
-        r("GET", r"/settings", self._list_settings)
-        r("GET", r"/settings/(?P<setting_id>[^/]+)", self._get_setting)
-        r("GET", r"/settings/(?P<setting_id>[^/]+)/value", self._get_setting_value)
-        r("PUT", r"/settings/(?P<setting_id>[^/]+)/value", self._put_setting_value)
-        r("POST", r"/reconfigure", self._post_reconfigure)
+        self._http = JsonHttpServer(listen, "service-api", [
+            ("GET", r"/slos", self._list_slos),
+            ("GET", r"/slos/(?P<slo_id>[^/]+)", self._get_slo),
+            ("GET", r"/slos/(?P<slo_id>[^/]+)/value", self._get_slo_value),
+            ("GET", r"/settings", self._list_settings),
+            ("GET", r"/settings/(?P<setting_id>[^/]+)", self._get_setting),
+            ("GET", r"/settings/(?P<setting_id>[^/]+)/value", self._get_setting_value),
+            ("PUT", r"/settings/(?P<setting_id>[^/]+)/value", self._put_setting_value),
+            ("POST", r"/reconfigure", self._post_reconfigure),
+        ])
 
     @property
     def address(self) -> str:
         return self._http.address
 
     def _load(self, path: str) -> _Config:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except FileNotFoundError:
-            raise ValidationError(f"configuration file {path!r} does not exist")
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"configuration file {path!r} is not valid JSON: {exc}")
+        raw = _read_json(path, "configuration")
         if not isinstance(raw, dict):
             raise ValidationError("configuration must be a JSON object")
         slos = parse_slo_entries(raw.get("slos", []))
@@ -261,8 +266,7 @@ class ServiceApi:
             settings = self.controller.list()
         alias_raw = raw.get("aliases")
         if self.aliases_path is not None:
-            with open(self.aliases_path, "r", encoding="utf-8") as fh:
-                alias_raw = json.load(fh)
+            alias_raw = _read_json(self.aliases_path, "alias")
             if isinstance(alias_raw, dict) and "aliases" in alias_raw:
                 alias_raw = alias_raw["aliases"]
         return _Config(slos, settings, parse_alias_map(alias_raw))
@@ -355,9 +359,6 @@ class ServiceApi:
                 raise ValidationError("'path' must be a string")
         return self.reconfigure(path)
 
-    def start(self) -> None:
-        self._http.start()
-
     def stop(self) -> None:
         self._http.stop()
 
@@ -387,7 +388,6 @@ def main(argv: list[str] | None = None) -> int:
             log.error("reconfigure failed, keeping old configuration: %s", exc)
 
     signal.signal(signal.SIGHUP, on_hup)
-    api.start()
     log.info("service API on %s", api.address)
     try:
         threading.Event().wait()

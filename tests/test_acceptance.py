@@ -279,7 +279,6 @@ def test_a08_telemetry_is_queryable_within_a_second(capsys, tmp_path):
     control = ControlServer(mock)
     api = ServiceApi(str(slos_path), MockServiceControllerClient(control.address),
                      store, clock=clock)
-    api.start()
     publisher = BusClient(bus_server.address)
     slo_api = SloApiClient(api.address)
 

@@ -273,6 +273,29 @@ class TestBusOverTcp:
         pub.close()
         subscribers[1].close()
 
+    def test_remote_subscription_survives_a_timeout_and_closes_at_once(self):
+        server = BusServer(listen="127.0.0.1:0")
+        pub = BusClient(server.address)
+        try:
+            sub = subscribe_remote(server.address, "fps/#")
+            deadline = time.monotonic() + 2.0
+            while not server.broker._subs and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert sub.get(timeout=0.1) is None
+            assert not sub.closed
+            pub.publish(Envelope("fps/c1", {"fps": 25.0}, 123))
+            env = sub.get(timeout=0.5)
+            assert env is not None and env.payload == {"fps": 25.0}
+            sub.close()
+            # no `del sub`: close() alone must end the broker's subscription
+            deadline = time.monotonic() + 1.0
+            while server.broker._subs and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert len(server.broker._subs) == 0
+        finally:
+            pub.close()
+            server.stop()
+
     def test_client_raises_when_broker_unreachable(self):
         # grab a port and close it again so nothing is listening there
         s = socket.socket()

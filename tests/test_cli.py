@@ -44,6 +44,7 @@ SCRIPTS = {
 }
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+SAMPLE_GDS = Path(__file__).resolve().parents[1] / "samples" / "scenario_gds.json"
 
 # A relative `src` entry, another working directory or a stale install in
 # site-packages must not change which code the children run.
@@ -188,6 +189,21 @@ class TestInstalledScripts:
         for target in table.values():
             module, function = target.split(":")
             assert callable(getattr(importlib.import_module(module), function, None)), target
+
+    def test_runtime_does_not_need_requests(self, tmp_path):
+        # requests is a test-only dependency: with it unimportable, every
+        # entry module still imports and the sample gds scenario still runs.
+        modules = sorted({*SCRIPTS.values(), "casca.orchestrator"})
+        code = ("import importlib, sys\n"
+                "sys.modules['requests'] = None\n"
+                f"for m in {modules!r}: importlib.import_module(m)\n"
+                "from casca.cli import main\n"
+                f"sys.exit(main(['run', '--scenario', {str(SAMPLE_GDS)!r},"
+                f" '--out-dir', {str(tmp_path / 'run')!r}]))\n")
+        done = subprocess.run([sys.executable, "-c", code], env=CHILD_ENV,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr[-2000:]
+        assert (tmp_path / "run" / "steps.csv").exists()
 
     @pytest.mark.parametrize("script", list(SCRIPTS))
     def test_help_exits_zero(self, script):

@@ -203,7 +203,6 @@ def emma(tmp_path):
         ]),
         listen="127.0.0.1:0",
     )
-    service.start()
     yield service
     service.stop()
 
@@ -265,9 +264,3 @@ class TestHttpApi:
     def test_unknown_route_404(self, emma):
         r = requests.get(f"http://{emma.address}/nope")
         assert r.status_code == 404
-
-    def test_reload_picks_up_new_data(self, emma, tmp_path):
-        write_locations(tmp_path, [("AT", 1000, "hourly", 777.0)])
-        emma.reload()
-        client = EmmaApiClient(f"http://{emma.address}")
-        assert client.intensity("AT", 1500, "hourly") == 777.0

@@ -30,8 +30,8 @@ KINDS = {
 }
 
 
-def not_json(conn, rfile):
-    for _ in rfile:
+def not_json(conn):
+    for _ in conn.makefile("rb"):
         conn.sendall(b"this is not json\n")
 
 

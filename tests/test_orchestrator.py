@@ -5,6 +5,7 @@ import json
 import math
 import os
 import socket
+import sys
 import threading
 import time
 import warnings
@@ -357,6 +358,18 @@ class TestBenchHarnesses:
         for stats in result["categories"].values():
             assert stats["samples"] == 6
             assert stats["mean"] > 0
+
+    def test_harnesses_close_their_clients(self, platform, monkeypatch):
+        cfg = load_scenario(platform.write_scenario("bench3.json"))
+        # A warning raised in a finalizer cannot propagate; it reaches the hook.
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            measure_api_overhead(cfg, n=3)
+            measure_reconfiguration(cfg, edits=3)
+            gc.collect()
+        assert [repr(u.exc_value) for u in unraisable] == []
 
 
 class TestLiveMode:

@@ -110,7 +110,6 @@ def rig(tmp_path):
     config_path.write_text(json.dumps({"slos": SLOS, "settings": SETTINGS}))
     api = ServiceApi(str(config_path), MockServiceControllerClient(control.address),
                      store, clock=clock, listen="127.0.0.1:0")
-    api.start()
     yield {"api": api, "service": service, "store": store, "clock": clock,
            "config_path": config_path, "control": control, "tmp": tmp_path}
     api.stop()
@@ -275,7 +274,6 @@ class TestAliasedGateway:
         api2 = ServiceApi(str(rig["config_path"]), rig["api"].controller,
                           rig["store"], clock=rig["clock"], listen="127.0.0.1:0",
                           aliases_path=str(alias_path))
-        api2.start()
         try:
             client = ServiceApiClient(api2.address)
             assert [s["id"] for s in client.list_slos()] == ["Objective0", "power_w"]
@@ -314,6 +312,37 @@ class TestReconfigure:
         with pytest.raises(ValidationError):
             client.reconfigure(str(missing))
         assert client.list_slos() == before
+
+    @pytest.mark.parametrize("case", ["setting-not-an-object", "alias-file-malformed",
+                                      "alias-file-missing", "alias-path-is-a-directory"])
+    def test_bad_reconfigure_answers_400_and_keeps_config(self, rig, case):
+        alias_path = rig["tmp"] / "aliases.json"
+        alias_path.write_text(json.dumps(
+            {"aliases": {"FPS": {"id": "Objective0", "description": "d"}}}))
+        api = ServiceApi(str(rig["config_path"]), rig["api"].controller, rig["store"],
+                         clock=rig["clock"], listen="127.0.0.1:0",
+                         aliases_path=str(alias_path))
+        client = ServiceApiClient(api.address)
+        try:
+            before = (client.list_slos(), client.list_settings())
+            if case == "setting-not-an-object":
+                rig["config_path"].write_text(json.dumps({"slos": SLOS, "settings": ["p"]}))
+                named = "'p'"
+            elif case == "alias-file-malformed":
+                alias_path.write_text("{not json")
+                named = str(alias_path)
+            else:
+                alias_path.unlink()
+                if case == "alias-path-is-a-directory":
+                    alias_path.mkdir()
+                named = str(alias_path)
+            r = requests.post(f"http://{api.address}/reconfigure", json={})
+            assert r.status_code == 400
+            assert named in r.json()["error"]
+            assert (client.list_slos(), client.list_settings()) == before
+        finally:
+            client.close()
+            api.stop()
 
 
 class TestControllerClient:
